@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-parallel paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-parallel paranoid vet lint race stress chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -27,6 +27,15 @@ test-short:
 # is concurrency-heavy; CI runs this on every PR).
 race:
 	$(GO) test -race ./...
+
+# stress repeats the result-store ordering and concurrency tests under
+# the race detector: duplicate submits of one hash run once, no job
+# stays registered as computing once terminal, journal records precede
+# what clients can see, and a crashed sweep resumes with exactly the
+# children it had. 500 repetitions turn a rare interleaving into a
+# reliable failure (~10 min on 2 CPUs).
+stress:
+	$(GO) test -race -count=500 -run '^(TestConcurrentDuplicateSubmitsRunOnce|TestNoInflightEntryOnceJobsTerminal|TestJournalRecordsPrecedePublication|TestSweepResumesFromJournalAfterCrash)$$' ./internal/service/
 
 # paranoid is the full self-verification battery: the whole test suite
 # under the race detector with the runtime invariant checks forced on

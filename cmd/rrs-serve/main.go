@@ -118,7 +118,7 @@ func run() error {
 		debugAddr    = flag.String("debug-addr", "", "listen address for the pprof/expvar debug server (empty disables; keep it private)")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 64, "max queued jobs before 429s")
-		cacheEntries = flag.Int("cache-entries", 256, "result cache capacity (-1 disables)")
+		cacheEntries = flag.Int("cache-entries", 256, "results held with no tracked job holding them: replicas, removed jobs' results (-1 keeps none)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job run limit (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for accepted jobs; leftovers journal-requeue")
 		jobRetries   = flag.Int("job-retries", 2, "automatic retries for transiently failed runs (-1 disables)")

@@ -142,7 +142,7 @@ func TestFleetReplicaDurability(t *testing.T) {
 			holder = n
 		}
 	}
-	if _, ok := holder.mgr.CachedResult(spec1.Hash()); !ok {
+	if _, ok := holder.mgr.ResultByHash(spec1.Hash()); !ok {
 		t.Fatalf("successor %s holds no replica of seed 1 before the kill", holderPeer.ID)
 	}
 

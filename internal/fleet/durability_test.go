@@ -307,7 +307,7 @@ func TestFleetReplicationToSuccessor(t *testing.T) {
 	if err := nodes[owner].node.FlushReplicas(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	res, ok := nodes[succ].node.mgr.CachedResult(spec.Hash())
+	res, ok := nodes[succ].node.mgr.ResultByHash(spec.Hash())
 	if !ok {
 		t.Fatalf("successor holds no replica")
 	}
@@ -361,7 +361,7 @@ func TestFleetReplicaQueueBoundedAndRepairBackstop(t *testing.T) {
 		t.Fatalf("RepairOnce = (%d checked, %d repaired), want (3, 3)", checked, repaired)
 	}
 	for seed := uint64(21); seed <= 23; seed++ {
-		if _, ok := nodes[1].node.mgr.CachedResult(uniqueSpec(seed).Hash()); !ok {
+		if _, ok := nodes[1].node.mgr.ResultByHash(uniqueSpec(seed).Hash()); !ok {
 			t.Fatalf("seed %d has no replica after repair", seed)
 		}
 	}
@@ -390,11 +390,60 @@ func TestFleetRepairAfterOwnershipMoved(t *testing.T) {
 		t.Fatalf("RepairOnce = (%d, %d), want (1, 1)", checked, repaired)
 	}
 	// The copy went to the hash's best other peer — its owner.
-	if _, ok := nodes[0].node.mgr.CachedResult(spec.Hash()); !ok {
+	if _, ok := nodes[0].node.mgr.ResultByHash(spec.Hash()); !ok {
 		t.Fatalf("owner did not receive the repair push")
 	}
 	if counter(nodes[1], "rrs_fleet_repair_replicated_total") != 1 {
 		t.Fatalf("repair push not counted")
+	}
+}
+
+// TestFleetCacheServesDoneJobsPastCacheEntries: a node whose done job's
+// result sits behind more than CacheEntries newer results still answers
+// the fleet cache endpoint for it, so a peer's fan-out reuses it and
+// anti-entropy does not re-push it to a peer that holds it.
+func TestFleetCacheServesDoneJobsPastCacheEntries(t *testing.T) {
+	nodes := startFleet(t, 2, func(i int, o *Options) {
+		o.Service.CacheEntries = 1
+		o.ReplicationQueue = -1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	s1, s2, s3 := uniqueSpec(31), uniqueSpec(32), uniqueSpec(33)
+	for _, s := range []service.Spec{s1, s2} {
+		if _, err := localClient(nodes[0]).Run(ctx, s); err != nil {
+			t.Fatalf("run on n1: %v", err)
+		}
+	}
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		req, _ := http.NewRequestWithContext(ctx, method,
+			nodes[0].srv.URL+"/v1/fleet/cache/"+s1.Hash(), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /v1/fleet/cache/{s1} on n1 = %d, want 200", method, resp.StatusCode)
+		}
+	}
+
+	// n2's fan-out finds s1 on n1; then s3 pushes s1 past n2's bound too.
+	for _, s := range []service.Spec{s1, s3} {
+		if _, err := localClient(nodes[1]).Run(ctx, s); err != nil {
+			t.Fatalf("run on n2: %v", err)
+		}
+	}
+	if got := nodes[1].runs.Load(); got != 1 {
+		t.Fatalf("n2 ran %d times, want 1 (s1 from n1's store, s3 fresh)", got)
+	}
+	// n1 holds s1 and s2; n2, the replica target, already holds s1.
+	checked, repaired := nodes[0].node.RepairOnce(ctx)
+	if checked != 2 || repaired != 1 {
+		t.Fatalf("RepairOnce = (%d checked, %d repaired), want (2, 1)", checked, repaired)
+	}
+	if got := counter(nodes[1], "rrs_fleet_replicas_received_total"); got != 1 {
+		t.Fatalf("n2 received %d replicas, want 1 (s2 only)", got)
 	}
 }
 

@@ -174,11 +174,12 @@ func (n *Node) handleRouted(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, resp.Body)
 }
 
-// handleCache answers a peer's fan-out lookup from the local result
-// cache only — it must never trigger a run or a further fan-out.
+// handleCache answers a peer's fan-out lookup (GET) or replica check
+// (HEAD) from the local result store only — it must never trigger a run
+// or a further fan-out.
 func (n *Node) handleCache(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if res, ok := n.mgr.CachedResult(hash); ok {
+	if res, ok := n.mgr.ResultByHash(hash); ok {
 		service.WriteJSON(w, http.StatusOK, cacheEnvelope{Hash: hash, Result: res})
 		return
 	}

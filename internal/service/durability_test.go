@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -59,14 +60,14 @@ func TestOnResultHookFiresOncePerComputation(t *testing.T) {
 }
 
 // TestInsertCachedStripsAndServes verifies a pushed replica is stripped
-// like a local completion and answers CachedResult.
+// like a local completion and answers ResultByHash.
 func TestInsertCachedStripsAndServes(t *testing.T) {
 	m := stubManager(t, Options{Workers: 1, CacheEntries: 8},
 		func(_ context.Context, _ Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{}, nil
 		})
 	m.InsertCached("h1", sim.Result{IPC: 3, Timeline: &obs.Timeline{}})
-	res, ok := m.CachedResult("h1")
+	res, ok := m.ResultByHash("h1")
 	if !ok {
 		t.Fatalf("replica not cached")
 	}
@@ -114,22 +115,29 @@ func TestDoneHashesAndResultByHash(t *testing.T) {
 }
 
 // TestResultByHashSurvivesCacheEviction: a done job's result must stay
-// reachable for repair even after LRU pressure evicts its cache entry.
+// reachable for repair after more results than CacheEntries arrive, and
+// resubmitting it must not run the engine again.
 func TestResultByHashSurvivesCacheEviction(t *testing.T) {
+	var runs atomic.Int64
 	m := stubManager(t, Options{Workers: 1, CacheEntries: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+			runs.Add(1)
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
 	s1, s2 := uniqueSpec(1), uniqueSpec(2)
-	for _, s := range []Spec{s1, s2} {
+	var last JobView
+	for _, s := range []Spec{s1, s2, s1} {
 		j, err := m.Submit(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitDone(t, j)
+		last = waitDone(t, j)
 	}
-	if _, ok := m.CachedResult(s1.Hash()); ok {
-		t.Fatalf("s1 still cached; eviction did not happen")
+	if !last.CacheHit {
+		t.Fatalf("s1 resubmitted behind s2 was not a cache hit: %+v", last)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("engine ran %d times for 2 hashes", got)
 	}
 	res, ok := m.ResultByHash(s1.Hash())
 	if !ok {
@@ -142,11 +150,13 @@ func TestResultByHashSurvivesCacheEviction(t *testing.T) {
 
 // TestResultByHashSurvivesRemovalOfDuplicate: a cache-hit job shares
 // the computing job's hash; removing one of the duplicates must leave
-// the result reachable through the survivor even with the cache entry
-// evicted.
+// the result reachable through the survivor, with more results than
+// CacheEntries held, and without running the engine again.
 func TestResultByHashSurvivesRemovalOfDuplicate(t *testing.T) {
+	var runs atomic.Int64
 	m := stubManager(t, Options{Workers: 1, CacheEntries: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+			runs.Add(1)
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
 	s1 := uniqueSpec(1)
@@ -163,7 +173,7 @@ func TestResultByHashSurvivesRemovalOfDuplicate(t *testing.T) {
 	if v := waitDone(t, j2); !v.CacheHit {
 		t.Fatalf("resubmission was not a cache hit: %+v", v)
 	}
-	// Evict s1's cache entry, then remove the duplicate job.
+	// Fill the store past CacheEntries, then remove the duplicate job.
 	j3, err := m.Submit(uniqueSpec(2))
 	if err != nil {
 		t.Fatal(err)
@@ -178,5 +188,15 @@ func TestResultByHashSurvivesRemovalOfDuplicate(t *testing.T) {
 	}
 	if res.IPC != 1 {
 		t.Fatalf("IPC = %v, want 1", res.IPC)
+	}
+	j4, err := m.Submit(s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitDone(t, j4); !v.CacheHit {
+		t.Fatalf("resubmission after removal was not a cache hit: %+v", v)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("engine ran %d times for 2 hashes", got)
 	}
 }

@@ -67,10 +67,9 @@ const (
 	recSweepRemoved  journalRecordType = "sweep_removed"
 )
 
-// acceptedRecord snapshots j for the accept line.
+// acceptedRecord snapshots j for the accept line; it reads only fields
+// fixed at submission.
 func acceptedRecord(j *Job) journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	spec := j.spec
 	return journalRecord{
 		Type:      recAccepted,
@@ -82,25 +81,20 @@ func acceptedRecord(j *Job) journalRecord {
 	}
 }
 
-// terminalRecord snapshots j for the terminal line. Results ride along
-// for done jobs — replaying them is what reconstitutes the result cache.
-func terminalRecord(j *Job) journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := journalRecord{
+// terminalRecord snapshots j, about to enter state, for the terminal
+// line; the caller holds j.mu. Results ride along for done jobs —
+// replaying them is what reconstitutes the result store.
+func terminalRecord(j *Job, state State, res *sim.Result) journalRecord {
+	return journalRecord{
 		Type:     recTerminal,
 		ID:       j.id,
 		Hash:     j.hash,
-		State:    j.state,
+		State:    state,
 		Error:    j.err,
 		Attempts: j.attempts,
+		Result:   res,
 		Finished: j.finished.UTC().Format(time.RFC3339Nano),
 	}
-	if j.state == StateDone && j.result != nil {
-		res := *j.result
-		rec.Result = &res
-	}
-	return rec
 }
 
 // sweepAcceptedRecord snapshots sw for the sweep-accept line.
@@ -457,6 +451,7 @@ func (m *Manager) Restore(rep *Replayed) error {
 		return nil
 	}
 	var errs []error
+	var pending []*Job
 	for i := range rep.Jobs {
 		rj := &rep.Jobs[i]
 		j := &Job{
@@ -467,12 +462,17 @@ func (m *Manager) Restore(rep *Replayed) error {
 			state:     rj.State,
 			attempts:  rj.Attempts,
 			err:       rj.Error,
+			store:     m.store,
 			submitted: rj.Submitted,
 			finished:  rj.Finished,
 			done:      make(chan struct{}),
 		}
 		if j.hash == "" {
 			j.hash = j.spec.Hash()
+		}
+		if j.state == StateDone && rj.Result == nil {
+			// Only hand-edited logs lack the result; a done job must have one.
+			j.state, j.err = StateFailed, "journal replay: done without a result"
 		}
 
 		m.mu.Lock()
@@ -492,44 +492,38 @@ func (m *Manager) Restore(rep *Replayed) error {
 		m.mu.Unlock()
 		m.met.Inc("rrs_jobs_restored_total", 1)
 
-		if rj.State.terminal() {
-			if rj.State == StateDone && rj.Result != nil {
-				res := *rj.Result
-				j.result = &res
-				j.progress = 1
-				m.cache.Put(j.hash, res)
-				m.mu.Lock()
-				m.doneByHash[j.hash] = j
-				m.mu.Unlock()
-			}
+		switch {
+		case j.state == StateDone:
+			j.progress = 1
+			m.store.put(j.hash, *rj.Result, j)
 			close(j.done)
-			continue
-		}
-
-		// Pending: validate against the current build, then re-enqueue.
-		if err := j.spec.Validate(); err != nil {
-			m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err))
-			m.met.Inc("rrs_jobs_failed_total", 1)
-			continue
-		}
-		m.mu.Lock()
-		if _, dup := m.inflight[j.hash]; !dup {
-			m.inflight[j.hash] = j
-		}
-		m.mu.Unlock()
-		if err := m.queue.forcePush(j); err != nil {
-			m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err))
-			m.met.Inc("rrs_jobs_failed_total", 1)
-			errs = append(errs, fmt.Errorf("service: re-enqueueing %s: %w", j.id, err))
+		case j.state.terminal():
+			close(j.done)
+		default:
+			// Pending: validate against the current build, then re-enqueue
+			// once the sweeps below have linked it.
+			if err := j.spec.Validate(); err != nil {
+				m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err), nil)
+				m.met.Inc("rrs_jobs_failed_total", 1)
+				continue
+			}
+			m.store.start(j)
+			pending = append(pending, j)
 		}
 	}
-	// Sweeps restore after jobs so the replayed result cache and the
-	// re-enqueued pending children are in place: a resumed sweep's feeder
-	// then coalesces onto the replayed jobs instead of duplicating them,
-	// and completed children come back as cache hits.
+	// Sweeps restore before the pending jobs are enqueued, so a resumed
+	// sweep links its replayed children (cache hits for the done ones,
+	// coalesced for the pending ones) before any of them can finish.
 	for i := range rep.Sweeps {
 		if err := m.restoreSweep(&rep.Sweeps[i]); err != nil {
 			errs = append(errs, err)
+		}
+	}
+	for _, j := range pending {
+		if err := m.queue.forcePush(j); err != nil {
+			m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err), nil)
+			m.met.Inc("rrs_jobs_failed_total", 1)
+			errs = append(errs, fmt.Errorf("service: re-enqueueing %s: %w", j.id, err))
 		}
 	}
 	return errors.Join(errs...)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,6 +37,52 @@ func TestJournalMissingFileReplaysEmpty(t *testing.T) {
 	if len(rep.Jobs) != 0 || rep.Pending != 0 || rep.Results != 0 || rep.Dropped != 0 {
 		t.Fatalf("empty journal replayed %+v", rep)
 	}
+}
+
+// TestJournalRecordsPrecedePublication: the journal holds a job's
+// terminal record (with its result) by the time anyone can see the job
+// done, and its accepted record before that, so replay taken at that
+// moment restores the job as done instead of pending. Instant runs
+// make a job finish the moment it is queued, and concurrent submitters
+// keep the window busy.
+func TestJournalRecordsPrecedePublication(t *testing.T) {
+	const n, submitters = 100, 4
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	m, _, _ := journalManager(t, path, Options{Workers: 4}, instantRun)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for seed := uint64(g + 1); seed <= n; seed += submitters {
+				j, err := m.Submit(uniqueSpec(seed))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				<-j.Done()
+				rep, err := replayJournal(path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				found := false
+				for _, rj := range rep.Jobs {
+					if rj.ID == j.ID() {
+						found = true
+						if rj.State != StateDone || rj.Result == nil {
+							t.Errorf("job %s seen done; journal replays it as %s (result %v)",
+								rj.ID, rj.State, rj.Result != nil)
+						}
+					}
+				}
+				if !found {
+					t.Errorf("job %s seen done; journal has no accepted record", j.ID())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestJournalDoneJobsSurviveRestart(t *testing.T) {

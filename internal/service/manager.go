@@ -54,7 +54,7 @@ type Job struct {
 	child    bool // expanded from a sweep: runs through Options.RunChild
 	attempts int  // completed run attempts (retries = attempts - 1)
 	err      string
-	result   *sim.Result
+	store    *resultStore // where a done job's result is held, by hash
 
 	submitted time.Time
 	started   time.Time
@@ -73,15 +73,16 @@ func (j *Job) Hash() string { return j.hash }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the finished result. ok is false unless the job is
-// done.
+// Result returns the finished result from the manager's result store.
+// ok is false unless the job is done.
 func (j *Job) Result() (sim.Result, bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.result == nil {
+	done := j.state == StateDone
+	j.mu.Unlock()
+	if !done {
 		return sim.Result{}, false
 	}
-	return *j.result, true
+	return j.store.get(j.hash)
 }
 
 // JobView is the JSON projection of a job.
@@ -167,8 +168,10 @@ type Options struct {
 	// QueueDepth bounds the backlog of accepted-but-unstarted jobs
 	// (default 64); past it, Submit fails fast with ErrQueueFull.
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache (default
-	// 256; 0 keeps the default, negative disables caching).
+	// CacheEntries bounds the held results that no tracked job holds —
+	// received replicas and results of removed jobs (default 256; 0 keeps
+	// the default, negative keeps none). A done job's result stays held
+	// for as long as the job is tracked.
 	CacheEntries int
 	// DefaultTimeout bounds each job's run unless its spec says
 	// otherwise (0 = no limit).
@@ -221,28 +224,29 @@ type Options struct {
 	RunChild RunFunc
 	// OnResult, when non-nil, observes every result this manager computes
 	// (or accepts as a work-stealing donation) the moment it enters the
-	// result cache, already Timeline- and Mitigation-stripped — exactly
-	// the bytes a peer's cache lookup would see. The fleet layer hooks
-	// result replication here. It is called from worker goroutines and
-	// must not block; it is NOT called for cache hits, journal replays, or
-	// results inserted via InsertCached (a replica must never re-replicate
-	// from the receiving side).
+	// result store, already journaled and Timeline- and
+	// Mitigation-stripped — exactly the bytes a peer's cache lookup would
+	// see. The fleet layer hooks result replication here. It is called
+	// from worker goroutines and must not block; it is NOT called for
+	// cache hits, journal replays, or results inserted via InsertCached (a
+	// replica must never re-replicate from the receiving side).
 	OnResult func(hash string, res sim.Result)
 	// Metrics receives the service metrics (nil = a private registry).
 	Metrics *Metrics
 }
 
-// Manager owns the queue, worker pool, job table and result cache.
+// Manager owns the queue, worker pool, job table and result store.
+// Lock order: a Job's mu before Manager.mu before the store's and the
+// queue's locks. (submit locks a new job under Manager.mu, before
+// anything else can reach the job.)
 type Manager struct {
 	opts  Options
 	queue *fifo
-	cache *resultCache
+	store *resultStore
 	met   *Metrics
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	inflight   map[string]*Job // hash → queued/running job, for submit coalescing
-	doneByHash map[string]*Job // hash → done job holding a result, for ResultByHash
+	mu       sync.Mutex
+	jobs     map[string]*Job
 	seq      uint64
 	closed   bool
 	draining bool // drain mode: intake refused, cancellations journal-requeue
@@ -310,11 +314,9 @@ func NewManager(opts Options) *Manager {
 	m := &Manager{
 		opts:          opts,
 		queue:         newFIFO(opts.QueueDepth),
-		cache:         newResultCache(opts.CacheEntries),
+		store:         newResultStore(opts.CacheEntries),
 		met:           opts.Metrics,
 		jobs:          make(map[string]*Job),
-		inflight:      make(map[string]*Job),
-		doneByHash:    make(map[string]*Job),
 		sweeps:        make(map[string]*Sweep),
 		sweepInflight: make(map[string]*Sweep),
 		runJob:        RunSpec,
@@ -395,8 +397,8 @@ func (m *Manager) registerMetrics() {
 			defer m.mu.Unlock()
 			return float64(m.busy) / float64(m.opts.Workers)
 		})
-	m.met.Gauge("rrs_cache_entries", "Results currently cached.",
-		func() float64 { return float64(m.cache.Len()) })
+	m.met.Gauge("rrs_cache_entries", "Results currently held in the result store.",
+		func() float64 { return float64(len(m.store.keys())) })
 	m.registerSweepMetrics()
 	for _, s := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
 		state := s
@@ -526,6 +528,18 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 	norm := spec.Normalize()
 	hash := norm.Hash()
 
+	j = &Job{
+		spec:      norm,
+		hash:      hash,
+		child:     child,
+		state:     StateQueued,
+		store:     m.store,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
+	}
+
+	// One critical section decides hit, coalesce, shed or new job, and
+	// queues a new one, so each hash has at most one job computing it.
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -535,80 +549,62 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		m.mu.Unlock()
 		return nil, false, ErrDraining
 	}
-	if prior, ok := m.inflight[hash]; ok {
+	hit, prior := m.store.admit(j)
+	if prior != nil {
 		m.mu.Unlock()
 		m.met.Inc("rrs_jobs_submitted_total", 1)
 		m.met.Inc("rrs_jobs_coalesced_total", 1)
 		return prior, true, nil
 	}
-	m.seq++
-	id := fmt.Sprintf("job-%06d", m.seq)
-	if m.opts.NodeID != "" {
-		id = m.opts.NodeID + "." + id
+	m.met.Inc("rrs_jobs_submitted_total", 1)
+	if !hit {
+		m.met.Inc("rrs_cache_misses_total", 1)
+		if wm := m.opts.AdmissionWatermark; wm > 0 && m.queue.Len() >= wm {
+			// Graceful degradation: past the watermark, refuse work that
+			// would need a simulation rather than letting the backlog
+			// build to the hard bound. The 429 + Retry-After this maps to
+			// tells well-behaved clients (and forwarding fleet peers) to
+			// back off or fail over.
+			m.met.Inc("rrs_jobs_shed_total", 1)
+			err = ErrOverloaded
+		} else {
+			// Locked before it is queued, so no worker claims it (and no
+			// terminal record precedes its accepted one) until the accepted
+			// record is journaled below. A refused job journals nothing.
+			j.mu.Lock()
+			if err = m.queue.Push(j); err != nil {
+				j.mu.Unlock()
+				if errors.Is(err, ErrQueueFull) {
+					m.met.Inc("rrs_jobs_rejected_total", 1)
+				}
+			}
+		}
+		if err != nil {
+			m.store.drop(j)
+			m.mu.Unlock()
+			return nil, false, err
+		}
 	}
-	j = &Job{
-		id:        id,
-		seq:       m.seq,
-		spec:      norm,
-		hash:      hash,
-		child:     child,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+	m.seq++
+	j.seq = m.seq
+	j.id = fmt.Sprintf("job-%06d", m.seq)
+	if m.opts.NodeID != "" {
+		j.id = m.opts.NodeID + "." + j.id
+	}
+	if hit {
+		// Cache-hit jobs are not journaled: their result is already
+		// durable under the record of the job that computed it.
+		m.met.Inc("rrs_cache_hits_total", 1)
+		m.met.Inc("rrs_jobs_done_total", 1)
+		j.state, j.cacheHit, j.progress, j.finished = StateDone, true, 1, time.Now()
+		close(j.done)
 	}
 	m.jobs[j.id] = j
 	m.mu.Unlock()
-
-	m.met.Inc("rrs_jobs_submitted_total", 1)
-
-	if res, ok := m.cache.Get(j.hash); ok {
-		m.met.Inc("rrs_cache_hits_total", 1)
-		m.met.Inc("rrs_jobs_done_total", 1)
-		j.mu.Lock()
-		j.state = StateDone
-		j.cacheHit = true
-		j.progress = 1
-		j.result = &res
-		j.finished = time.Now()
+	if !hit {
+		m.journal(acceptedRecord(j))
 		j.mu.Unlock()
-		m.mu.Lock()
-		m.doneByHash[j.hash] = j
-		m.mu.Unlock()
-		// Cache-hit jobs are not journaled: their result is already
-		// durable under the record of the job that computed it.
-		close(j.done)
-		return j, false, nil
 	}
-	m.met.Inc("rrs_cache_misses_total", 1)
-
-	if wm := m.opts.AdmissionWatermark; wm > 0 && m.queue.Len() >= wm {
-		// Graceful degradation: past the watermark, refuse work that
-		// would need a simulation rather than letting the backlog build
-		// to the hard bound. The 429 + Retry-After this maps to tells
-		// well-behaved clients (and forwarding fleet peers) to back off
-		// or fail over.
-		m.met.Inc("rrs_jobs_shed_total", 1)
-		m.finish(j, StateCancelled, ErrOverloaded.Error())
-		m.mu.Lock()
-		delete(m.jobs, j.id)
-		m.mu.Unlock()
-		return nil, false, ErrOverloaded
-	}
-
-	if err := m.queue.Push(j); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			m.met.Inc("rrs_jobs_rejected_total", 1)
-		}
-		m.finish(j, StateCancelled, err.Error())
-		m.mu.Lock()
-		delete(m.jobs, j.id)
-		m.mu.Unlock()
-		return nil, false, err
-	}
-	m.mu.Lock()
-	m.inflight[j.hash] = j
-	m.mu.Unlock()
-	m.journal(acceptedRecord(j))
 	return j, false, nil
 }
 
@@ -661,12 +657,8 @@ func (m *Manager) Cancel(id string) (ok bool, err error) {
 	case j.state == StateQueued:
 		// The worker that eventually pops it observes the state and
 		// skips; mark it terminal now so waiters unblock immediately.
-		j.state = StateCancelled
-		j.finished = time.Now()
+		m.finishLocked(j, StateCancelled, "", nil)
 		j.mu.Unlock()
-		m.retire(j)
-		m.journal(terminalRecord(j))
-		close(j.done)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 		return true, nil
 	case j.state == StateRunning && j.cancel != nil:
@@ -694,31 +686,11 @@ func (m *Manager) Remove(id string) error {
 		return fmt.Errorf("service: job %s is %s; cancel it first", id, state)
 	}
 	m.mu.Lock()
+	_, tracked := m.jobs[id]
 	delete(m.jobs, id)
-	repoint := m.doneByHash[j.hash] == j
-	var sameHash []*Job
-	if repoint {
-		// Duplicate-hash done jobs exist (a cache-hit job shares the
-		// computing job's hash); keep one of the survivors indexed so
-		// ResultByHash still finds the result after this removal.
-		delete(m.doneByHash, j.hash)
-		for _, o := range m.jobs {
-			if o.hash == j.hash {
-				sameHash = append(sameHash, o)
-			}
-		}
-	}
 	m.mu.Unlock()
-	for _, o := range sameHash {
-		o.mu.Lock()
-		done := o.state == StateDone && o.result != nil
-		o.mu.Unlock()
-		if done {
-			m.mu.Lock()
-			m.doneByHash[j.hash] = o
-			m.mu.Unlock()
-			break
-		}
+	if tracked && state == StateDone {
+		m.store.release(j.hash)
 	}
 	m.journal(journalRecord{Type: recRemoved, ID: id})
 	return nil
@@ -842,31 +814,22 @@ func (m *Manager) runOne(j *Job) {
 
 	switch {
 	case err == nil:
-		// Drop the live hardware model before the result outlives the
-		// run in the cache and job table, and fold the observability
-		// aggregates into the metrics registry so the cached result is
-		// identical to an unobserved run's.
-		res.Mitigation = nil
+		// Fold the observability aggregates into the metrics registry
+		// before finish strips the timeline from the held result.
 		m.foldTimeline(res.Timeline)
-		res.Timeline = nil
-		m.cache.Put(j.hash, res)
-		if m.opts.OnResult != nil {
-			m.opts.OnResult(j.hash, res)
-		}
 		start := j.started
 		m.finish(j, StateDone, "", &res)
-		m.met.Inc("rrs_jobs_done_total", 1)
 		m.met.ObserveLatency(time.Since(start).Seconds())
 	case errors.Is(err, context.Canceled):
-		m.finish(j, StateCancelled, "cancelled by request")
+		m.finish(j, StateCancelled, "cancelled by request", nil)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 	case errors.Is(err, context.DeadlineExceeded):
-		m.finish(j, StateFailed, fmt.Sprintf("timed out after %s", timeout))
+		m.finish(j, StateFailed, fmt.Sprintf("timed out after %s", timeout), nil)
 		m.met.Inc("rrs_jobs_failed_total", 1)
 	case resilience.IsTransient(err) && m.requeue(j, err):
 		// Re-enqueued for another attempt; not terminal yet.
 	default:
-		m.finish(j, StateFailed, err.Error())
+		m.finish(j, StateFailed, err.Error(), nil)
 		m.met.Inc("rrs_jobs_failed_total", 1)
 	}
 }
@@ -892,7 +855,7 @@ func (m *Manager) requeue(j *Job, cause error) bool {
 	j.mu.Unlock()
 	if err := m.queue.Push(j); err != nil {
 		// No queue slot for the retry: surface the original failure.
-		m.finish(j, StateFailed, fmt.Sprintf("%v (retry abandoned: %v)", cause, err))
+		m.finish(j, StateFailed, fmt.Sprintf("%v (retry abandoned: %v)", cause, err), nil)
 		m.met.Inc("rrs_jobs_failed_total", 1)
 		return true // terminal state reached here; caller must not double-finish
 	}
@@ -900,42 +863,31 @@ func (m *Manager) requeue(j *Job, cause error) bool {
 	return true
 }
 
-// retire drops j from the submit-coalescing index once it can no longer
-// absorb duplicate submissions.
-func (m *Manager) retire(j *Job) {
-	m.mu.Lock()
-	if m.inflight[j.hash] == j {
-		delete(m.inflight, j.hash)
+// finish moves j to a terminal state exactly once; res is the result
+// of a done job, nil otherwise.
+func (m *Manager) finish(j *Job, state State, errMsg string, res *sim.Result) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.state.terminal() {
+		m.finishLocked(j, state, errMsg, res)
 	}
-	m.mu.Unlock()
 }
 
-// finish moves j to a terminal state exactly once.
-func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Result) {
-	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
+// finishLocked is finish with j.mu held and j not terminal. It journals
+// the terminal record and files a done result in the store before it
+// publishes the state, so whatever a client sees as done survives a
+// kill -9. Computed results enter the store only here and fire OnResult.
+func (m *Manager) finishLocked(j *Job, state State, errMsg string, res *sim.Result) {
 	j.err = errMsg
 	j.cancel = nil
 	j.finished = time.Now()
-	if state == StateDone {
+	if res != nil {
+		// Held results outlive the run and must be byte-identical to an
+		// unobserved run's, wherever they were computed.
+		res.Mitigation, res.Timeline = nil, nil
 		j.progress = 1
-		if len(result) > 0 {
-			j.result = result[0]
-		}
 	}
-	j.mu.Unlock()
-	m.retire(j)
-	m.mu.Lock()
-	if state == StateDone && len(result) > 0 && result[0] != nil {
-		m.doneByHash[j.hash] = j
-	}
-	draining := m.draining
-	m.mu.Unlock()
-	if draining && state == StateCancelled {
+	if state == StateCancelled && m.Draining() {
 		// Drain semantics: a cancellation during drain is "ran out of
 		// time", not "the client gave up". Withholding the terminal
 		// record leaves the accepted record unmatched, so the next
@@ -943,8 +895,18 @@ func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Resu
 		// losing it.
 		m.met.Inc("rrs_jobs_requeued_total", 1)
 	} else {
-		m.journal(terminalRecord(j))
+		m.journal(terminalRecord(j, state, res))
 	}
+	if res != nil {
+		m.store.put(j.hash, *res, j)
+		if m.opts.OnResult != nil {
+			m.opts.OnResult(j.hash, *res)
+		}
+		m.met.Inc("rrs_jobs_done_total", 1)
+	} else {
+		m.store.drop(j)
+	}
+	j.state = state
 	close(j.done)
 }
 
@@ -976,13 +938,6 @@ func (m *Manager) Load() (backlog, busy, workers int) {
 	busy = int(m.busy)
 	m.mu.Unlock()
 	return m.queue.Len(), busy, m.opts.Workers
-}
-
-// CachedResult answers a content-hash lookup from the local result
-// cache — the building block of fleet-wide cache hits: before running a
-// job, a peer asks the rest of the fleet for the hash first.
-func (m *Manager) CachedResult(hash string) (sim.Result, bool) {
-	return m.cache.Get(hash)
 }
 
 // active counts jobs not yet in a terminal state.
@@ -1030,7 +985,7 @@ wait:
 	m.closed = true
 	m.mu.Unlock()
 	for _, j := range m.queue.Close() {
-		m.finish(j, StateCancelled, "drained: will replay on restart")
+		m.finish(j, StateCancelled, "drained: will replay on restart", nil)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 	}
 	for _, j := range m.List() {
@@ -1045,7 +1000,7 @@ wait:
 		default:
 			// Queued but not in the fifo: lent to a thief that never
 			// donated, or raced the queue close.
-			m.finish(j, StateCancelled, "drained: will replay on restart")
+			m.finish(j, StateCancelled, "drained: will replay on restart", nil)
 			m.met.Inc("rrs_jobs_cancelled_total", 1)
 		}
 	}
@@ -1097,7 +1052,7 @@ func (m *Manager) RequeueStolen(j *Job) {
 		return
 	}
 	if err := m.queue.Push(j); err != nil {
-		m.finish(j, StateCancelled, fmt.Sprintf("stolen job could not requeue: %v", err))
+		m.finish(j, StateCancelled, fmt.Sprintf("stolen job could not requeue: %v", err), nil)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 	}
 }
@@ -1110,81 +1065,35 @@ func (m *Manager) RequeueStolen(j *Job) {
 // state.
 func (m *Manager) CompleteExternal(j *Job, res sim.Result) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.terminal() || j.state == StateRunning {
-		j.mu.Unlock()
 		return false
 	}
-	j.mu.Unlock()
-	res.Mitigation = nil
-	res.Timeline = nil
-	m.cache.Put(j.hash, res)
-	if m.opts.OnResult != nil {
-		m.opts.OnResult(j.hash, res)
-	}
-	m.finish(j, StateDone, "", &res)
-	m.met.Inc("rrs_jobs_done_total", 1)
+	m.finishLocked(j, StateDone, "", &res)
 	return true
 }
 
-// InsertCached stores an externally computed result in the result cache
-// with no job record — the receive path of fleet result replication. The
-// same stripping as local completion keeps every cached payload
-// byte-identical regardless of which node computed it. OnResult is
-// deliberately not invoked: a received replica must not fan back out.
+// InsertCached files an externally computed result, held by no job —
+// the receive path of fleet result replication. It is stripped like a
+// local completion, so every held payload is byte-identical wherever it
+// was computed. OnResult is deliberately not invoked: a received
+// replica must not fan back out.
 func (m *Manager) InsertCached(hash string, res sim.Result) {
-	res.Mitigation = nil
-	res.Timeline = nil
-	m.cache.Put(hash, res)
+	res.Mitigation, res.Timeline = nil, nil
+	m.store.put(hash, res, nil)
 }
 
-// DoneHashes returns every content hash this node durably holds a result
-// for: done jobs (journal-backed, in submission order) followed by
-// cache-only entries (received replicas, fan-out adoptions), deduplicated.
-// The fleet's anti-entropy repair loop walks this set to verify each
-// result still has its ring replica.
-func (m *Manager) DoneHashes() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, j := range m.List() {
-		j.mu.Lock()
-		done := j.state == StateDone && j.result != nil
-		h := j.hash
-		j.mu.Unlock()
-		if done && !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
-	for _, h := range m.cache.Keys() {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
-	return out
-}
+// DoneHashes returns every content hash this node holds a result for,
+// in sorted order. The fleet's anti-entropy repair loop walks this set
+// with a cursor to verify each result still has its ring replica.
+func (m *Manager) DoneHashes() []string { return m.store.keys() }
 
-// ResultByHash returns a held result by content hash, consulting the
-// cache first and falling back to the done-job index — a done job's
-// result can outlive its cache entry under LRU pressure, and the repair
-// loop (and sweep aggregation, once per unlinked child per poll) must
-// still find it without scanning the whole job table.
+// ResultByHash returns a held result by content hash: a tracked done
+// job's, or one no job holds (a received replica, a removed job's)
+// that the store's LRU still keeps. It serves GET /v1/results/{hash},
+// the fleet's cache lookups, repair and sweep rollups alike.
 func (m *Manager) ResultByHash(hash string) (sim.Result, bool) {
-	if res, ok := m.cache.Get(hash); ok {
-		return res, true
-	}
-	m.mu.Lock()
-	j := m.doneByHash[hash]
-	m.mu.Unlock()
-	if j == nil {
-		return sim.Result{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone && j.result != nil {
-		return *j.result, true
-	}
-	return sim.Result{}, false
+	return m.store.get(hash)
 }
 
 // Shutdown stops intake, cancels the backlog, and waits for running
@@ -1199,7 +1108,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Unlock()
 
 	for _, j := range m.queue.Close() {
-		m.finish(j, StateCancelled, "server shutting down")
+		m.finish(j, StateCancelled, "server shutting down", nil)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 	}
 

@@ -119,15 +119,15 @@ func TestCancelRemoveRaceManager(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEviction drives the LRU result cache from many
-// goroutines with a working set larger than its capacity, so every Put
-// races eviction against Gets promoting entries. Under -race this
-// verifies the mutex covers the list+map pair; the posterior checks
-// verify capacity is never exceeded and hits return the value stored
-// under that key.
+// TestCacheConcurrentEviction drives the result store from many
+// goroutines with a working set of unheld results larger than its
+// capacity, so every put races eviction against gets promoting entries.
+// Under -race this verifies the mutex covers the list+map pair; the
+// posterior checks verify capacity is never exceeded and hits return
+// the value stored under that key.
 func TestCacheConcurrentEviction(t *testing.T) {
 	const capacity = 4
-	c := newResultCache(capacity)
+	s := newResultStore(capacity)
 	keys := make([]string, 32)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%02d", i)
@@ -140,19 +140,19 @@ func TestCacheConcurrentEviction(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := (g*7 + i) % len(keys)
 				if i%3 == 0 {
-					c.Put(keys[k], sim.Result{Accesses: int64(k)})
-				} else if res, ok := c.Get(keys[k]); ok && res.Accesses != int64(k) {
-					t.Errorf("cache returned Accesses=%d under %s", res.Accesses, keys[k])
+					s.put(keys[k], sim.Result{Accesses: int64(k)}, nil)
+				} else if res, ok := s.get(keys[k]); ok && res.Accesses != int64(k) {
+					t.Errorf("store returned Accesses=%d under %s", res.Accesses, keys[k])
 				}
-				if n := c.Len(); n > capacity {
-					t.Errorf("cache holds %d entries; capacity %d", n, capacity)
+				if n := len(s.keys()); n > capacity {
+					t.Errorf("store holds %d unheld entries; capacity %d", n, capacity)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > capacity {
-		t.Fatalf("cache holds %d entries after storm; capacity %d", n, capacity)
+	if n := len(s.keys()); n > capacity {
+		t.Fatalf("store holds %d entries after storm; capacity %d", n, capacity)
 	}
 }
 

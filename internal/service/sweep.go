@@ -310,20 +310,16 @@ func (m *Manager) snapshotSweep(s *Sweep, withChildren bool) SweepView {
 	childViews := make([]SweepChildView, 0, len(hashes))
 	for i, h := range hashes {
 		cv := SweepChildView{Hash: h, State: StateQueued}
-		var res sim.Result
-		haveRes := false
+		res, haveRes := m.ResultByHash(h)
 		if i < len(children) {
 			jv := children[i].Snapshot()
 			cv.ID, cv.State, cv.Progress = jv.ID, jv.State, jv.Progress
 			cv.CacheHit, cv.Error = jv.CacheHit, jv.Error
-			if jv.State == StateDone {
-				res, haveRes = children[i].Result()
-			}
-		} else if r, ok := m.ResultByHash(h); ok {
+			haveRes = haveRes && jv.State == StateDone
+		} else if haveRes {
 			// Not linked (yet), but the result is already held — a
 			// restored sweep's durable child, or a concurrent submitter's.
 			cv.State, cv.Progress, cv.CacheHit = StateDone, 1, true
-			res, haveRes = r, true
 		}
 		switch cv.State {
 		case StateDone:
@@ -472,39 +468,26 @@ func specHashes(specs []Spec) []string {
 }
 
 // runSweep is the per-sweep feeder and watcher. The feed half submits
-// each child, retrying queue backpressure — the journaled parent makes
-// abandoning on shutdown safe, replay resumes the expansion. The watch
-// half waits for every linked child's terminal state and finalizes.
+// each child not yet linked, retrying queue backpressure — the
+// journaled parent makes abandoning on shutdown safe, replay resumes
+// the expansion. The watch half waits for every linked child's terminal
+// state and finalizes.
 func (m *Manager) runSweep(sw *Sweep) {
 	defer m.sweepWG.Done()
+	// Unlocked read: children only grow here and, before this goroutine
+	// starts, in restoreSweep.
 feed:
-	for _, spec := range sw.specs {
+	for _, spec := range sw.specs[len(sw.children):] {
 		for {
 			if sw.isCancelled() {
 				break feed
 			}
-			j, err := m.submitSweepChild(spec)
-			if err == nil {
-				sw.mu.Lock()
-				sw.children = append(sw.children, j)
-				cancelled := sw.cancelled
-				sw.mu.Unlock()
-				if cancelled {
-					// CancelSweep may have snapshotted the children before
-					// this link and missed the job we just submitted; cancel
-					// it here so a cancelled sweep never runs an extra child.
-					m.Cancel(j.ID())
-					break feed
-				}
-				if v := j.Snapshot(); v.CacheHit {
-					sw.mu.Lock()
-					sw.cacheHits++
-					sw.mu.Unlock()
-					m.met.Inc("rrs_sweep_children_cached_total", 1)
-				}
-				break
-			}
+			ok, err := m.linkChild(sw, spec)
 			switch {
+			case err == nil && ok:
+				continue feed
+			case err == nil: // cancelled meanwhile
+				break feed
 			case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
 				// The queue is smaller than the sweep; wait for workers
 				// to make room rather than dropping the child.
@@ -536,18 +519,37 @@ feed:
 	m.finishSweep(sw)
 }
 
-// submitSweepChild submits one expanded child, counting coalesced
-// acceptances, and marks fresh jobs as sweep children so they run
-// through Options.RunChild (the fleet's by-hash routing seam).
-func (m *Manager) submitSweepChild(spec Spec) (*Job, error) {
+// linkChild submits spec as sw's next child — marked as a sweep child
+// so a fresh job runs through Options.RunChild (the fleet's by-hash
+// routing seam) — and links the job, counting coalesced and cached
+// acceptances. linked is false when the sweep was cancelled meanwhile.
+func (m *Manager) linkChild(sw *Sweep, spec Spec) (linked bool, err error) {
 	j, coalesced, err := m.submit(spec, true)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if coalesced {
 		m.met.Inc("rrs_sweep_children_coalesced_total", 1)
 	}
-	return j, nil
+	cacheHit := j.Snapshot().CacheHit
+	sw.mu.Lock()
+	sw.children = append(sw.children, j)
+	cancelled := sw.cancelled
+	if cacheHit && !cancelled {
+		sw.cacheHits++
+	}
+	sw.mu.Unlock()
+	if cancelled {
+		// CancelSweep may have snapshotted the children before this link
+		// and missed the job just submitted; cancel it here so a
+		// cancelled sweep never runs an extra child.
+		m.Cancel(j.ID())
+		return false, nil
+	}
+	if cacheHit {
+		m.met.Inc("rrs_sweep_children_cached_total", 1)
+	}
+	return true, nil
 }
 
 // finishSweep derives the sweep's terminal state from its children and
@@ -745,6 +747,15 @@ func (m *Manager) restoreSweep(rs *ReplayedSweep) error {
 	if terminal {
 		close(sw.done)
 		return nil
+	}
+	// Link the leading children the store already answers — done before
+	// the crash, or restored pending and not yet enqueued — now, so they
+	// count as cached or resumed rather than racing the workers; the
+	// feeder submits the rest.
+	for i := 0; i < len(specs) && m.store.has(sw.hashes[i]); i++ {
+		if linked, err := m.linkChild(sw, specs[i]); err != nil || !linked {
+			break
+		}
 	}
 	m.sweepWG.Add(1)
 	go m.runSweep(sw)

@@ -310,11 +310,12 @@ func TestSweepResumesFromJournalAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the first two children finish; the third wedges on the gate.
+	// Let the first two children finish and the last two be accepted;
+	// the third wedges on the gate.
 	deadline := time.Now().Add(10 * time.Second)
-	for m1.snapshotSweep(sw1, false).Done < 2 {
+	for v := m1.snapshotSweep(sw1, false); v.Done < 2 || v.Linked < 4; v = m1.snapshotSweep(sw1, false) {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never reached 2 done children: %+v", m1.snapshotSweep(sw1, true))
+			t.Fatalf("sweep never reached 2 done and 4 linked children: %+v", m1.snapshotSweep(sw1, true))
 		}
 		time.Sleep(time.Millisecond)
 	}
