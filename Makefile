@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-parallel paranoid vet lint race stress chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-parallel paranoid vet lint race stress chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check microbench profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -127,6 +127,16 @@ bench-parallel:
 alloc-check:
 	$(GO) test -run 'AllocFree' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation
+
+# microbench runs the layer microbenchmarks for the CAT set-index table
+# (a warm table under sim's aliased per-core row layout and under a
+# sparse 40 K-row footprint) and one PRINCE encryption, the hash it
+# saves. CI runs it with MICROBENCHTIME=1000x as a smoke test so the
+# benchmarks keep compiling and running; nothing gates on the numbers.
+MICROBENCHTIME ?= 1s
+microbench:
+	$(GO) test -run '^$$' -bench '^Benchmark(SetsOf|Encrypt)' -benchmem \
+		-benchtime $(MICROBENCHTIME) ./internal/cat ./internal/prince
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

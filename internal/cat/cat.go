@@ -47,18 +47,19 @@ type slot[V any] struct {
 	valid bool
 }
 
-// idxCacheBits sizes the per-table set-index memo (2^bits entries,
-// 16 bytes each, 128 KiB). Keys are in-bank row ids, so the memo is
-// indexed by the key's low bits: for banks with up to 2^idxCacheBits
-// rows every key gets its own slot and the memo is collision-free;
-// larger banks alias 2^(bits) apart, which row locality makes rare.
-const idxCacheBits = 13
+// densePageRows is the key span of one page of the set-index table.
+const densePageRows = 256
 
-// setPair memoizes the two candidate set indices of one key. s0 == -1
-// marks an empty entry (valid indices are non-negative).
-type setPair struct {
-	key    uint64
-	s0, s1 int32
+// maxDenseRows caps the set-index table: keys at or above it hash
+// directly, so adversarial 64-bit keys (fuzzers, tests) cannot balloon
+// it. It matches the trackers' and the RIT's presence-bitset bound.
+const maxDenseRows = 1 << 22
+
+// setPage holds the candidate sets of densePageRows consecutive keys,
+// packed s0<<8|s1; an entry is populated once its bit in filled is set.
+type setPage struct {
+	filled [densePageRows / 64]uint64
+	sets   [densePageRows]uint16
 }
 
 // Table is a CAT holding values of type V keyed by 64-bit keys (row ids).
@@ -71,12 +72,14 @@ type Table[V any] struct {
 	invalid [2][]int     // per table, per set: count of invalid ways
 	hash    [2]*prince.Hash64
 	size    int
-	// idxCache is a direct-mapped memo of setIndex results. Set indices
-	// are a pure function of the key and the boot-time hash keys, so the
-	// memo never needs invalidation (Clear keeps the hash keys) and is
-	// exactness-preserving; it exists because the two PRINCE evaluations
-	// dominate the lookup cost and row accesses are heavily repetitive.
-	idxCache []setPair
+	// pages is the dense set-index table: pages[key/densePageRows] holds
+	// the candidate sets of every key below maxDenseRows that has been
+	// looked up, each hashed on first use and allocated a page at a time.
+	// Set indices are a pure function of the key and the boot-time hash
+	// keys, so entries never need invalidation (Clear keeps the hash
+	// keys) and a key's two PRINCE evaluations, which dominate the lookup
+	// cost, happen at most once per Table.
+	pages []*setPage
 	// conflicts counts installs that found both candidate sets full
 	// (before cuckoo relocation).
 	conflicts int
@@ -103,10 +106,6 @@ func New[V any](spec Spec, seed uint64) *Table[V] {
 	kg := prince.Seeded(seed)
 	t.hash[0] = prince.NewHash64(kg.Next(), kg.Next())
 	t.hash[1] = prince.NewHash64(kg.Next(), kg.Next())
-	t.idxCache = make([]setPair, 1<<idxCacheBits)
-	for i := range t.idxCache {
-		t.idxCache[i].s0 = -1
-	}
 	return t
 }
 
@@ -127,15 +126,50 @@ func (t *Table[V]) setIndex(ti int, key uint64) int {
 	return int(t.hash[ti].Sum(key) % uint64(t.spec.Sets))
 }
 
-// setsOf returns both candidate set indices through the memo cache.
-func (t *Table[V]) setsOf(key uint64) (int, int) {
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0 >= 0 && e.key == key {
-		return int(e.s0), int(e.s1)
+// hashSets evaluates both candidate set indices from the raw hashes.
+func (t *Table[V]) hashSets(key uint64) (int, int) {
+	return t.setIndex(0, key), t.setIndex(1, key)
+}
+
+// entry returns key's populated set-index entry, or nil. Pages exist
+// only below maxDenseRows, so the directory bound also bounds the key.
+func (t *Table[V]) entry(key uint64) *uint16 {
+	if p, i := key/densePageRows, key%densePageRows; p < uint64(len(t.pages)) {
+		if pg := t.pages[p]; pg != nil && pg.filled[i/64]&(1<<(i%64)) != 0 {
+			return &pg.sets[i]
+		}
 	}
-	s0 := int(t.hash[0].Sum(key) % uint64(t.spec.Sets))
-	s1 := int(t.hash[1].Sum(key) % uint64(t.spec.Sets))
-	*e = setPair{key: key, s0: int32(s0), s1: int32(s1)}
+	return nil
+}
+
+// setsOf returns both candidate set indices through the dense table.
+func (t *Table[V]) setsOf(key uint64) (int, int) {
+	if e := t.entry(key); e != nil {
+		return int(*e >> 8), int(*e & 0xFF)
+	}
+	return t.fillSets(key)
+}
+
+// fillSets is setsOf's miss path: it hashes key and records the pair,
+// growing the page directory and allocating the page on first touch.
+// Keys at or above the cap, and every key of a geometry whose set
+// indices do not fit a byte (more than 256 sets), are not recorded.
+func (t *Table[V]) fillSets(key uint64) (int, int) {
+	s0, s1 := t.hashSets(key)
+	if key >= maxDenseRows || t.spec.Sets > 256 {
+		return s0, s1
+	}
+	p, i := key/densePageRows, key%densePageRows
+	if p >= uint64(len(t.pages)) {
+		grown := make([]*setPage, min(2*(p+1), maxDenseRows/densePageRows))
+		copy(grown, t.pages)
+		t.pages = grown
+	}
+	if t.pages[p] == nil {
+		t.pages[p] = new(setPage)
+	}
+	t.pages[p].sets[i] = uint16(s0<<8 | s1)
+	t.pages[p].filled[i/64] |= 1 << (i % 64)
 	return s0, s1
 }
 
@@ -159,6 +193,11 @@ func (t *Table[V]) Lookup(key uint64) *V {
 // key is absent; ti and s are then meaningless.
 func (t *Table[V]) LookupPos(key uint64) (ti, s int, val *V) {
 	s0, s1 := t.setsOf(key)
+	return t.find(key, s0, s1)
+}
+
+// find scans key's candidate sets s0 (table 0) and s1 (table 1).
+func (t *Table[V]) find(key uint64, s0, s1 int) (ti, s int, val *V) {
 	ss := t.setSlots(0, s0)
 	for i := range ss {
 		if ss[i].valid && ss[i].key == key {
@@ -190,10 +229,10 @@ func (t *Table[V]) Install(key uint64, val V) *V {
 // InstallPos is Install returning also the table index and set the entry
 // landed in (meaningless when val is nil, i.e. on a CAT conflict).
 func (t *Table[V]) InstallPos(key uint64, val V) (ti, s int, vp *V) {
-	if t.Lookup(key) != nil {
+	s0, s1 := t.setsOf(key)
+	if _, _, dup := t.find(key, s0, s1); dup != nil {
 		panic(fmt.Sprintf("cat: duplicate install of key %#x", key))
 	}
-	s0, s1 := t.setsOf(key)
 	inv0, inv1 := t.invalid[0][s0], t.invalid[1][s1]
 	// Power-of-two-choices: prefer the set with more invalid ways.
 	ti, s = 0, s0
@@ -235,7 +274,10 @@ func (t *Table[V]) relocate(s0, s1 int) bool {
 			if !ss[i].valid {
 				continue
 			}
-			as := t.setIndex(alt, ss[i].key)
+			as, as1 := t.setsOf(ss[i].key)
+			if alt == 1 {
+				as = as1
+			}
 			if t.invalid[alt][as] == 0 {
 				continue
 			}
@@ -334,7 +376,7 @@ func (t *Table[V]) SetLoad(ti, s int) int {
 }
 
 // Clear invalidates every entry while keeping the hash keys (a hardware
-// bulk-reset of valid bits).
+// bulk-reset of valid bits), and with them the set-index table.
 func (t *Table[V]) Clear() {
 	var zero slot[V]
 	for ti := 0; ti < 2; ti++ {

@@ -338,6 +338,86 @@ func TestExtrapolateInstallsEmpty(t *testing.T) {
 	}
 }
 
+// checkSetsOf asserts SetsOf agrees with a fresh evaluation of both raw
+// hashes for every key.
+func checkSetsOf[V any](t *testing.T, tab *Table[V], keys []uint64) {
+	t.Helper()
+	for _, k := range keys {
+		s0, s1 := tab.SetsOf(k)
+		if w0, w1 := tab.hashSets(k); s0 != w0 || s1 != w1 {
+			t.Fatalf("SetsOf(%#x) = (%d,%d), raw hashes give (%d,%d)", k, s0, s1, w0, w1)
+		}
+	}
+}
+
+func TestSetsOfMatchesRawHashes(t *testing.T) {
+	rng := prince.Seeded(11)
+	var random, aliased, big []uint64
+	for i := 0; i < 2000; i++ {
+		random = append(random, rng.Uint64n(1<<20))
+		big = append(big, maxDenseRows+rng.Next()%(1<<40))
+	}
+	// sim places each core's copy of a row in the same bank 16384 rows
+	// apart: the keys share their low bits.
+	for base := uint64(0); base < 64; base++ {
+		for c := uint64(0); c < 8; c++ {
+			aliased = append(aliased, base+c*16384)
+		}
+	}
+	big = append(big, maxDenseRows, maxDenseRows-1, ^uint64(0))
+	for _, spec := range []Spec{{Sets: 64, Ways: 20}, {Sets: 256, Ways: 20}, {Sets: 1024, Ways: 4}} {
+		tab := New[int](spec, 7)
+		for pass := 0; pass < 2; pass++ { // fill, then served from the table
+			checkSetsOf(t, tab, random)
+			checkSetsOf(t, tab, aliased)
+			checkSetsOf(t, tab, big)
+		}
+		for i, k := range random[:500] {
+			if tab.Lookup(k) == nil && tab.Install(k, i) == nil {
+				t.Fatalf("%+v: install %#x failed", spec, k)
+			}
+		}
+		tab.Clear()
+		checkSetsOf(t, tab, random)
+		checkSetsOf(t, tab, aliased)
+		if err := tab.CheckInvariants(); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+	}
+}
+
+// TestSetsOfServedFromTable shows a key below the dense cap is hashed
+// once and then answered from its populated entry, which survives Clear;
+// keys at or above the cap, and every key of a geometry with more than
+// 256 sets, never get an entry.
+func TestSetsOfServedFromTable(t *testing.T) {
+	tab := New[int](Spec{Sets: 8, Ways: 4}, 3)
+	const key = 5 + 3*16384
+	if tab.CorruptMemoForTest(key, 31, 31) {
+		t.Fatal("entry populated before first use")
+	}
+	tab.SetsOf(key)
+	tab.Clear()
+	if !tab.CorruptMemoForTest(key, 31, 31) {
+		t.Fatal("no entry after first use and Clear")
+	}
+	if s0, s1 := tab.SetsOf(key); s0 != 31 || s1 != 31 {
+		t.Fatalf("SetsOf = (%d,%d), want the stored (31,31)", s0, s1)
+	}
+	if err := tab.CheckInvariants(); err == nil {
+		t.Fatal("rewritten entry passed CheckInvariants")
+	}
+	tab.SetsOf(maxDenseRows)
+	if tab.CorruptMemoForTest(maxDenseRows, 0, 0) {
+		t.Fatal("key at the dense cap got an entry")
+	}
+	wide := New[int](Spec{Sets: 512, Ways: 4}, 3)
+	wide.SetsOf(key)
+	if wide.CorruptMemoForTest(key, 0, 0) {
+		t.Fatal("512-set table stored a set-index entry")
+	}
+}
+
 func BenchmarkLookupHit(b *testing.B) {
 	tab := New[int](Spec{Sets: 256, Ways: 20}, 1)
 	for i := 0; i < 3400; i++ {
@@ -358,4 +438,42 @@ func BenchmarkLookupMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab.Lookup(uint64(i%3400) + (1 << 20))
 	}
+}
+
+// BenchmarkSetsOfAliased looks up 8 copies of 64 rows spaced 16384 apart
+// (sim's per-core layout within a bank) on a warm table.
+func BenchmarkSetsOfAliased(b *testing.B) {
+	tab := New[int](Spec{Sets: 64, Ways: 20}, 1)
+	keys := make([]uint64, 0, 512)
+	for base := uint64(0); base < 64; base++ {
+		for c := uint64(0); c < 8; c++ {
+			keys = append(keys, base*97+c*16384)
+		}
+	}
+	benchSetsOf(b, tab, keys)
+}
+
+// BenchmarkSetsOfSparse looks up 40 K rows scattered over a 128 K-row
+// bank on a warm table.
+func BenchmarkSetsOfSparse(b *testing.B) {
+	tab := New[int](Spec{Sets: 64, Ways: 20}, 1)
+	rng := prince.Seeded(2)
+	keys := make([]uint64, 40_000)
+	for i := range keys {
+		keys[i] = rng.Uint64n(1 << 17)
+	}
+	benchSetsOf(b, tab, keys)
+}
+
+func benchSetsOf(b *testing.B, tab *Table[int], keys []uint64) {
+	for _, k := range keys {
+		tab.SetsOf(k)
+	}
+	var sink int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s0, s1 := tab.SetsOf(keys[i%len(keys)])
+		sink += s0 ^ s1
+	}
+	_ = sink
 }

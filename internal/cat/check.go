@@ -10,13 +10,14 @@ import (
 //   - cat/occupancy: per-set invalid-way counters equal the number of
 //     invalid slots in that set, and no key is stored twice.
 //   - cat/placement: every valid slot's key hashes to the set holding it
-//     (recomputed from the raw hashes, bypassing the memo).
+//     (recomputed from the raw hashes, bypassing the set-index table).
 //   - cat/size: the size counter equals the number of valid slots.
-//   - cat/memo: every populated set-index memo entry agrees with a fresh
-//     evaluation of both hash functions and sits in the memo slot its
-//     key's low bits select.
+//   - cat/memo: every populated entry of the dense set-index table agrees
+//     with a fresh evaluation of both hash functions for the key its
+//     position names.
 //
-// Cost is O(slots + memo); the paranoid engine runs it on a cadence.
+// Cost is O(slots + populated set-index entries); the paranoid engine
+// runs it on a cadence.
 func (t *Table[V]) CheckInvariants() error {
 	seen := make(map[uint64]struct{}, t.size)
 	total := 0
@@ -53,22 +54,20 @@ func (t *Table[V]) CheckInvariants() error {
 		return invariant.Violatedf("cat/size",
 			"size counter %d, valid slots %d", t.size, total)
 	}
-	for i := range t.idxCache {
-		e := &t.idxCache[i]
-		if e.s0 < 0 {
+	for p, pg := range t.pages {
+		if pg == nil {
 			continue
 		}
-		if int(e.key&(1<<idxCacheBits-1)) != i {
-			return invariant.Violatedf("cat/memo",
-				"memo slot %d holds key %#x whose low bits select slot %d",
-				i, e.key, e.key&(1<<idxCacheBits-1))
-		}
-		s0 := int(t.hash[0].Sum(e.key) % uint64(t.spec.Sets))
-		s1 := int(t.hash[1].Sum(e.key) % uint64(t.spec.Sets))
-		if int(e.s0) != s0 || int(e.s1) != s1 {
-			return invariant.Violatedf("cat/memo",
-				"memo for key %#x caches sets (%d,%d), hashes give (%d,%d)",
-				e.key, e.s0, e.s1, s0, s1)
+		for i, e := range pg.sets {
+			if pg.filled[i/64]&(1<<(i%64)) == 0 {
+				continue
+			}
+			key := uint64(p)*densePageRows + uint64(i)
+			if s0, s1 := t.hashSets(key); int(e>>8) != s0 || int(e&0xFF) != s1 {
+				return invariant.Violatedf("cat/memo",
+					"set-index entry for key %#x holds sets (%d,%d), hashes give (%d,%d)",
+					key, e>>8, e&0xFF, s0, s1)
+			}
 		}
 	}
 	return nil
@@ -81,14 +80,15 @@ func (t *Table[V]) CheckInvariants() error {
 // checker detects every corruption class. They exist for tests only and
 // must never be called by production code.
 
-// CorruptMemoForTest overwrites the set-index memo entry for key (which
-// must currently be cached) with the given candidate sets.
+// CorruptMemoForTest overwrites key's populated set-index entry with the
+// given candidate sets (truncated to a byte each), reporting whether key
+// had one.
 func (t *Table[V]) CorruptMemoForTest(key uint64, s0, s1 int32) bool {
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0 < 0 || e.key != key {
+	e := t.entry(key)
+	if e == nil {
 		return false
 	}
-	e.s0, e.s1 = s0, s1
+	*e = uint16(s0&0xFF)<<8 | uint16(s1&0xFF)
 	return true
 }
 

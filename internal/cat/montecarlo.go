@@ -88,7 +88,7 @@ func (e ConflictExperiment) installsToConflict(rng *prince.CTR, capacity int, ma
 		}
 		key := nextKey
 		nextKey++
-		s0, s1 := t.setIndex(0, key), t.setIndex(1, key)
+		s0, s1 := t.setsOf(key)
 		if t.invalid[0][s0] == 0 && t.invalid[1][s1] == 0 {
 			return n // conflict on this install
 		}
