@@ -130,13 +130,17 @@ alloc-check:
 
 # microbench runs the layer microbenchmarks for the CAT set-index table
 # (a warm table under sim's aliased per-core row layout and under a
-# sparse 40 K-row footprint) and one PRINCE encryption, the hash it
-# saves. CI runs it with MICROBENCHTIME=1000x as a smoke test so the
-# benchmarks keep compiling and running; nothing gates on the numbers.
+# sparse 40 K-row footprint), one PRINCE encryption (the hash it saves)
+# as throughput and as a dependent-chain latency, the CAT tracker's
+# streaming evict + install path, and a BlockHammer filter update. CI
+# runs it with MICROBENCHTIME=1000x as a smoke test so the benchmarks
+# keep compiling and running; nothing gates on the numbers.
 MICROBENCHTIME ?= 1s
 microbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(SetsOf|Encrypt)' -benchmem \
-		-benchtime $(MICROBENCHTIME) ./internal/cat ./internal/prince
+	$(GO) test -run '^$$' \
+		-bench '^Benchmark(SetsOf|Encrypt|CATObserveStreaming|BlockHammerOnActivate)' \
+		-benchmem -benchtime $(MICROBENCHTIME) \
+		./internal/cat ./internal/prince ./internal/tracker ./internal/mitigation
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

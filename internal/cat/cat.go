@@ -306,19 +306,30 @@ func (t *Table[V]) Delete(key uint64) bool {
 // was removed from (meaningless when ok is false).
 func (t *Table[V]) DeletePos(key uint64) (ti, s int, ok bool) {
 	s0, s1 := t.setsOf(key)
-	for ti, s := range [2]int{s0, s1} {
-		ss := t.setSlots(ti, s)
-		for i := range ss {
-			if ss[i].valid && ss[i].key == key {
-				var zero slot[V]
-				ss[i] = zero
-				t.invalid[ti][s]++
-				t.size--
-				return ti, s, true
-			}
-		}
+	if t.DeleteIn(0, s0, key) {
+		return 0, s0, true
+	}
+	if t.DeleteIn(1, s1, key) {
+		return 1, s1, true
 	}
 	return 0, 0, false
+}
+
+// DeleteIn removes key from set s of table ti and reports whether it was
+// there. Callers that already hold the entry's position (the tracker's
+// eviction scan) skip the set-index lookup and the other candidate set.
+func (t *Table[V]) DeleteIn(ti, s int, key uint64) bool {
+	ss := t.setSlots(ti, s)
+	for i := range ss {
+		if ss[i].valid && ss[i].key == key {
+			var zero slot[V]
+			ss[i] = zero
+			t.invalid[ti][s]++
+			t.size--
+			return true
+		}
+	}
+	return false
 }
 
 // ForEach calls fn for every valid entry until fn returns false. The value

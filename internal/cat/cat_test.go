@@ -1,6 +1,7 @@
 package cat
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,67 @@ func TestDelete(t *testing.T) {
 	}
 	if tab.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", tab.Len())
+	}
+}
+
+// TestDeleteIn checks that DeleteIn removes a key only from the set named
+// and, given the set that holds it, leaves the same state as DeletePos.
+func TestDeleteIn(t *testing.T) {
+	spec := Spec{Sets: 8, Ways: 4}
+	fill := func() *Table[int] {
+		tab := New[int](spec, 5)
+		for k := uint64(0); k < 24; k++ {
+			tab.Install(k*1009, int(k))
+		}
+		return tab
+	}
+	loads := func(tab *Table[int]) (l []int) {
+		for ti := 0; ti < 2; ti++ {
+			for s := 0; s < spec.Sets; s++ {
+				l = append(l, tab.SetLoad(ti, s))
+			}
+		}
+		return l
+	}
+	entries := func(tab *Table[int]) map[uint64]int {
+		m := map[uint64]int{}
+		tab.ForEach(func(k uint64, v *int) bool { m[k] = *v; return true })
+		return m
+	}
+	for k := uint64(0); k < 24; k++ {
+		key := k * 1009
+		a, b := fill(), fill()
+		ti, s, _ := a.LookupPos(key)
+		want := loads(a)
+		for wti := 0; wti < 2; wti++ {
+			for ws := 0; ws < spec.Sets; ws++ {
+				if wti == ti && ws == s {
+					continue
+				}
+				if a.DeleteIn(wti, ws, key) {
+					t.Fatalf("key %#x: DeleteIn(%d, %d) true, entry is in (%d, %d)", key, wti, ws, ti, s)
+				}
+			}
+		}
+		if a.Len() != 24 || !reflect.DeepEqual(loads(a), want) || a.Lookup(key) == nil {
+			t.Fatalf("key %#x: wrong-set DeleteIn changed the table", key)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if !a.DeleteIn(ti, s, key) {
+			t.Fatalf("key %#x: DeleteIn(%d, %d) false on its own set", key, ti, s)
+		}
+		if dti, ds, ok := b.DeletePos(key); !ok || dti != ti || ds != s {
+			t.Fatalf("key %#x: DeletePos = (%d, %d, %v), want (%d, %d, true)", key, dti, ds, ok, ti, s)
+		}
+		if a.Len() != b.Len() || !reflect.DeepEqual(loads(a), loads(b)) ||
+			!reflect.DeepEqual(entries(a), entries(b)) {
+			t.Fatalf("key %#x: DeleteIn and DeletePos left different tables", key)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ type BlockHammer struct {
 
 	counters  [][]uint32 // per bank: m counters
 	hashes    []*prince.Hash64
+	idx       []uint64 // the last estimated row's counter indices, one per hash
 	m         int
 	blacklist uint32
 	tDelay    int64
@@ -74,6 +75,7 @@ func NewBlockHammer(sys *dram.System, p BlockHammerParams) *BlockHammer {
 		cfg:       cfg,
 		counters:  make([][]uint32, nBanks),
 		hashes:    make([]*prince.Hash64, p.Hashes),
+		idx:       make([]uint64, p.Hashes),
 		m:         p.Counters,
 		blacklist: p.BlacklistThreshold,
 		lastAct:   make([]map[int]int64, nBanks),
@@ -105,12 +107,13 @@ func (b *BlockHammer) Stats() BlockHammerStats { return b.stat }
 // bus cycles.
 func (b *BlockHammer) TDelay() int64 { return b.tDelay }
 
-// estimate returns the Bloom filter's activation estimate for row.
+// estimate returns the Bloom filter's activation estimate for row and
+// leaves row's counter indices in b.idx.
 func (b *BlockHammer) estimate(bank int, row int) uint32 {
 	min := uint32(1<<32 - 1)
-	for _, h := range b.hashes {
-		c := b.counters[bank][h.Sum(uint64(row))%uint64(b.m)]
-		if c < min {
+	for i, h := range b.hashes {
+		b.idx[i] = h.Sum(uint64(row)) % uint64(b.m)
+		if c := b.counters[bank][b.idx[i]]; c < min {
 			min = c
 		}
 	}
@@ -150,10 +153,9 @@ func (b *BlockHammer) ActivateDelay(id dram.BankID, row int, now int64) int64 {
 func (b *BlockHammer) OnActivate(id dram.BankID, row, _ int, now int64) memctrl.ActResult {
 	bank := bankIndex(b.cfg, id)
 	min := b.estimate(bank, row)
-	for _, h := range b.hashes {
-		idx := h.Sum(uint64(row)) % uint64(b.m)
-		if b.counters[bank][idx] == min {
-			b.counters[bank][idx]++
+	for _, i := range b.idx {
+		if b.counters[bank][i] == min {
+			b.counters[bank][i]++
 		}
 	}
 	if min+1 >= b.blacklist {

@@ -194,6 +194,20 @@ func TestBlockHammerBlacklistsHotRow(t *testing.T) {
 	}
 }
 
+// BenchmarkBlockHammerOnActivate measures one filter update at the default
+// three hashes, cycling over 4096 rows of one bank.
+func BenchmarkBlockHammerOnActivate(b *testing.B) {
+	cfg := testConfig()
+	bh := NewBlockHammer(dram.MustNew(cfg), DefaultBlockHammerParams())
+	id := dram.BankID{}
+	step := int64(cfg.TRC)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row := i * 97 % 4096
+		bh.OnActivate(id, row, row, int64(i)*step)
+	}
+}
+
 func TestBlockHammerColdRowsUndisturbed(t *testing.T) {
 	cfg := testConfig()
 	sys := dram.MustNew(cfg)

@@ -1,69 +1,65 @@
 package prince
 
-// Table-driven fast path. The round function factors into per-16-bit-chunk
-// table lookups (S-box and M' act within chunks) plus a byte-indexed
-// scatter for the ShiftRows nibble permutation. The reference nibble-loop
-// implementation in prince.go remains the specification; TestFastMatchesReference
-// cross-checks them and the official vectors pin both down.
+// Table-driven fast path (the AES T-table construction). The S-box acts on
+// single nibbles, and M', ShiftRows and the key additions are linear over
+// GF(2), so every layer between two S-box applications is an XOR of 16
+// rows, one per input nibble, of a [16][16]uint64 table. The five tables
+// take 10 KiB together and stay L1-resident. They are built from the
+// reference functions in prince.go, which remain the specification;
+// TestFastMatchesReference cross-checks the two paths and the official
+// vectors pin both down.
+//
+// The inverse half is carried in the state just before each S^-1:
+// t' = M'(SR^-1(S^-1(t) ^ c)) = inv(t) ^ lin(c), with lin = M'∘SR^-1.
 var (
-	// smTab[w][c] = M'_w(S(c)) — forward round chunk transform.
-	smTab [2][1 << 16]uint16
-	// misTab[w][c] = S^-1(M'_w(c)) — inverse round chunk transform.
-	misTab [2][1 << 16]uint16
-	// midTab[w][c] = S^-1(M'_w(S(c))) — the middle layer.
-	midTab [2][1 << 16]uint16
-	// srTab/srInvTab scatter the i-th most significant byte to its
-	// ShiftRows (inverse) destinations.
-	srTab    [8][256]uint64
-	srInvTab [8][256]uint64
+	fwdTab nibbleTab // SR∘M'∘S: rounds 1-5
+	midTab nibbleTab // M'∘S: the middle, up to its S^-1
+	invTab nibbleTab // M'∘SR^-1∘S^-1: rounds 6-10
+	outTab nibbleTab // S^-1: the output S-box layer
+	linTab nibbleTab // M'∘SR^-1, linear: carries rc[i]^k1 across the inverse half
+	// linRC[i] = lin(rc[i]) for the inverse rounds 6-10.
+	linRC [11]uint64
 )
 
-func sbox16(c uint16, box *[16]uint64) uint16 {
-	return uint16(box[c>>12]<<12 | box[c>>8&0xF]<<8 | box[c>>4&0xF]<<4 | box[c&0xF])
-}
+// nibbleTab[j][v] is a layer's output for input nibble j (bits 4j..4j+3,
+// j = 0 least significant) set to v.
+type nibbleTab [16][16]uint64
 
 func initFast() {
-	for w := 0; w < 2; w++ {
-		for c := 0; c < 1<<16; c++ {
-			s := sbox16(uint16(c), &sbox)
-			m := mTab[w][s]
-			smTab[w][c] = m
-			midTab[w][c] = sbox16(m, &sboxInv)
-			misTab[w][c] = sbox16(mTab[w][c], &sboxInv)
+	for j := 0; j < 16; j++ {
+		sh := uint(4 * j)
+		for v := uint64(0); v < 16; v++ {
+			s, si := sbox[v]<<sh, sboxInv[v]<<sh
+			fwdTab[j][v] = permuteNibbles(mPrime(s), &srPerm)
+			midTab[j][v] = mPrime(s)
+			invTab[j][v] = mPrime(permuteNibbles(si, &srInv))
+			outTab[j][v] = si
+			linTab[j][v] = mPrime(permuteNibbles(v<<sh, &srInv))
 		}
 	}
-	for bi := 0; bi < 8; bi++ {
-		j0, j1 := 2*bi, 2*bi+1
-		for v := 0; v < 256; v++ {
-			n0, n1 := uint64(v>>4), uint64(v&0xF)
-			srTab[bi][v] = n0<<(60-4*srInv[j0]) | n1<<(60-4*srInv[j1])
-			srInvTab[bi][v] = n0<<(60-4*srPerm[j0]) | n1<<(60-4*srPerm[j1])
-		}
+	for i := 6; i <= 10; i++ {
+		linRC[i] = mPrime(permuteNibbles(rc[i], &srInv))
 	}
 }
 
-func scatter(x uint64, tab *[8][256]uint64) uint64 {
-	return tab[0][x>>56] | tab[1][x>>48&0xFF] | tab[2][x>>40&0xFF] |
-		tab[3][x>>32&0xFF] | tab[4][x>>24&0xFF] | tab[5][x>>16&0xFF] |
-		tab[6][x>>8&0xFF] | tab[7][x&0xFF]
-}
-
-func chunks(x uint64, t *[2][1 << 16]uint16) uint64 {
-	return uint64(t[0][uint16(x>>48)])<<48 | uint64(t[1][uint16(x>>32)])<<32 |
-		uint64(t[1][uint16(x>>16)])<<16 | uint64(t[0][uint16(x)])
+// apply evaluates the layer t on x: the XOR of one row per nibble.
+func (t *nibbleTab) apply(x uint64) uint64 {
+	return t[0][x&0xF] ^ t[1][x>>4&0xF] ^ t[2][x>>8&0xF] ^ t[3][x>>12&0xF] ^
+		t[4][x>>16&0xF] ^ t[5][x>>20&0xF] ^ t[6][x>>24&0xF] ^ t[7][x>>28&0xF] ^
+		t[8][x>>32&0xF] ^ t[9][x>>36&0xF] ^ t[10][x>>40&0xF] ^ t[11][x>>44&0xF] ^
+		t[12][x>>48&0xF] ^ t[13][x>>52&0xF] ^ t[14][x>>56&0xF] ^ t[15][x>>60]
 }
 
 // fastCore is the table-driven PRINCE-core.
 func fastCore(s, k1 uint64) uint64 {
 	s ^= k1 ^ rc[0]
 	for i := 1; i <= 5; i++ {
-		s = scatter(chunks(s, &smTab), &srTab)
-		s ^= rc[i] ^ k1
+		s = fwdTab.apply(s) ^ rc[i] ^ k1
 	}
-	s = chunks(s, &midTab)
+	s = midTab.apply(s)
+	lk := linTab.apply(k1)
 	for i := 6; i <= 10; i++ {
-		s ^= rc[i] ^ k1
-		s = chunks(scatter(s, &srInvTab), &misTab)
+		s = invTab.apply(s) ^ linRC[i] ^ lk
 	}
-	return s ^ rc[11] ^ k1
+	return outTab.apply(s) ^ rc[11] ^ k1
 }

@@ -39,11 +39,8 @@ const Alpha = 0xc0ac29b7c97c50dd
 
 // m16 holds, for the two 16x16 binary matrices M̂0 and M̂1, the output mask
 // contributed by each input bit (bit 0 = most significant bit of the 16-bit
-// chunk). mTab are full 65536-entry lookup tables derived from m16 for speed.
-var (
-	m16  [2][16]uint16
-	mTab [2][1 << 16]uint16
-)
+// chunk).
+var m16 [2][16]uint16
 
 // shift-rows permutation on nibbles (AES-style, column-major state):
 // output nibble i comes from input nibble 5i mod 16. srPerm[i] gives the
@@ -86,19 +83,6 @@ func init() {
 			}
 		}
 	}
-	for which := 0; which < 2; which++ {
-		for x := 0; x < 1<<16; x++ {
-			var out uint16
-			v := uint16(x)
-			for b := 0; b < 16; b++ {
-				if v&(1<<(15-b)) != 0 {
-					out ^= m16[which][b]
-				}
-			}
-			mTab[which][x] = out
-		}
-	}
-
 	for i := 0; i < 16; i++ {
 		srPerm[i] = (5 * i) % 16
 	}
@@ -119,13 +103,26 @@ func subBytes(x uint64, box *[16]uint64) uint64 {
 }
 
 // mPrime applies the involutory M' layer: diag(M̂0, M̂1, M̂1, M̂0) over the
-// four 16-bit chunks (chunk 0 = most significant).
+// four 16-bit chunks (chunk 0 = most significant). It runs only when the
+// fast path's tables are built and in tests.
 func mPrime(x uint64) uint64 {
-	c0 := mTab[0][uint16(x>>48)]
-	c1 := mTab[1][uint16(x>>32)]
-	c2 := mTab[1][uint16(x>>16)]
-	c3 := mTab[0][uint16(x)]
+	c0 := mHat(0, uint16(x>>48))
+	c1 := mHat(1, uint16(x>>32))
+	c2 := mHat(1, uint16(x>>16))
+	c3 := mHat(0, uint16(x))
 	return uint64(c0)<<48 | uint64(c1)<<32 | uint64(c2)<<16 | uint64(c3)
+}
+
+// mHat multiplies the 16-bit chunk c by M̂_which, XORing the column mask
+// of every set input bit.
+func mHat(which int, c uint16) uint16 {
+	var out uint16
+	for b := 0; b < 16; b++ {
+		if c&(1<<(15-b)) != 0 {
+			out ^= m16[which][b]
+		}
+	}
+	return out
 }
 
 func permuteNibbles(x uint64, perm *[16]int) uint64 {

@@ -185,6 +185,18 @@ func BenchmarkEncrypt(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkEncryptLatency chains each encryption's output into the next
+// input, so it measures one PRINCE evaluation's latency rather than the
+// overlapped throughput BenchmarkEncrypt sees.
+func BenchmarkEncryptLatency(b *testing.B) {
+	c := New(0x0123456789abcdef, 0xfedcba9876543210)
+	x := uint64(0)
+	for i := 0; i < b.N; i++ {
+		x = c.Encrypt(x)
+	}
+	_ = x
+}
+
 func BenchmarkCTRNext(b *testing.B) {
 	g := NewCTR(1, 2)
 	var sink uint64
@@ -201,5 +213,42 @@ func TestFastMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFastMatchesReferenceSingleNibbles drives every value of every
+// nibble position (all other nibbles zero) through both paths, under a
+// key and under key^Alpha (the decrypt path), so each row of each
+// T-table is exercised in isolation.
+func TestFastMatchesReferenceSingleNibbles(t *testing.T) {
+	c := New(0, 0)
+	for _, k1 := range []uint64{0, 0x0123456789abcdef, ^uint64(0)} {
+		for _, k := range []uint64{k1, k1 ^ Alpha} {
+			for j := 0; j < 16; j++ {
+				for v := uint64(0); v < 16; v++ {
+					m := v << (4 * j)
+					if got, want := fastCore(m, k), c.core(m, k); got != want {
+						t.Fatalf("k1 %016x nibble %d = %x: fastCore %016x, core %016x", k, j, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFastMatchesReferenceSweep compares both paths on a seeded sweep of
+// random (m, k1) pairs.
+func TestFastMatchesReferenceSweep(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 10_000
+	}
+	c := New(0, 0)
+	g := Seeded(2022)
+	for i := 0; i < n; i++ {
+		m, k1 := g.Next(), g.Next()
+		if got, want := fastCore(m, k1), c.core(m, k1); got != want {
+			t.Fatalf("pair %d: fastCore(%016x, %016x) = %016x, core %016x", i, m, k1, got, want)
+		}
 	}
 }

@@ -242,19 +242,16 @@ func (t *CAT) Observe(row uint64) bool {
 	}
 	// Replace an entry holding the minimum count: find a set whose SetMin
 	// equals the global minimum and evict a minimum entry from it.
-	victim, found := t.findMinEntry(min)
-	if found {
-		if vti, vs, ok := t.tab.DeletePos(victim); ok {
-			if t.logEvictions {
-				t.lastEvicted = victim
-				t.evictions++
-			}
-			if t.rec != nil {
-				t.rec.RecordNow(obs.KindHRTEvict, t.obsBank, victim, uint64(min))
-			}
-			t.removePresent(victim)
-			t.recomputeSetMin(vti, vs)
+	if vti, vs, victim, found := t.findMinEntry(min); found && t.tab.DeleteIn(vti, vs, victim) {
+		if t.logEvictions {
+			t.lastEvicted = victim
+			t.evictions++
 		}
+		if t.rec != nil {
+			t.rec.RecordNow(obs.KindHRTEvict, t.obsBank, victim, uint64(min))
+		}
+		t.removePresent(victim)
+		t.recomputeSetMin(vti, vs)
 	}
 	t.install(row, t.spill+1)
 	if t.rec != nil {
@@ -295,11 +292,13 @@ func (t *CAT) ObserveN(row uint64, n int64) int {
 	return fired
 }
 
-// findMinEntry locates some entry whose count equals min.
-func (t *CAT) findMinEntry(min int64) (row uint64, found bool) {
-	for ti := 0; ti < 2 && !found; ti++ {
-		for s, m := range t.setMin[ti] {
-			if m != min {
+// findMinEntry locates the first entry whose count equals min, scanning
+// table 0 then table 1, sets and ways in ascending order, and returns the
+// table and set holding it so the eviction can delete in place.
+func (t *CAT) findMinEntry(min int64) (ti, s int, row uint64, found bool) {
+	for ti = 0; ti < 2; ti++ {
+		for s = range t.setMin[ti] {
+			if t.setMin[ti][s] != min {
 				continue
 			}
 			t.tab.ForEachInSet(ti, s, func(key uint64, v *int64) bool {
@@ -310,11 +309,11 @@ func (t *CAT) findMinEntry(min int64) (row uint64, found bool) {
 				return true
 			})
 			if found {
-				return row, true
+				return ti, s, row, true
 			}
 		}
 	}
-	return row, found
+	return 0, 0, 0, false
 }
 
 // install adds row at the given count; a CAT conflict (astronomically rare
